@@ -69,20 +69,43 @@ void BM_ScatterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterAdd)->Arg(33000)->Arg(1 << 20);
 
-void BM_GemmForward(benchmark::State& state) {
-  // The shape of one ShuffleNet-proxy hidden layer on a batch of 16.
-  const int bs = 16, in = 128, out = 128;
-  const auto a = random_vec(static_cast<size_t>(bs) * in, 4);
-  const auto b = random_vec(static_cast<size_t>(in) * out, 5);
-  std::vector<float> c(static_cast<size_t>(bs) * out);
+// The three GEMMs of one training step of a ShuffleNet-proxy Linear layer
+// on a batch of 16: forward gemm_nn, backward gemm_tn (weight gradient,
+// accumulated) and gemm_nt (input gradient). Args: in, out.
+enum class GemmCall { kForward, kWeightGrad, kInputGrad };
+
+template <GemmCall kCall>
+void BM_Gemm(benchmark::State& state) {
+  const int bs = 16;
+  const int in = static_cast<int>(state.range(0));
+  const int out = static_cast<int>(state.range(1));
+  const auto x = random_vec(static_cast<size_t>(bs) * in, 4);
+  const auto w = random_vec(static_cast<size_t>(in) * out, 5);
+  const auto g = random_vec(static_cast<size_t>(bs) * out, 6);
+  std::vector<float> y(static_cast<size_t>(bs) * out);
+  std::vector<float> gw(static_cast<size_t>(in) * out);
+  std::vector<float> gin(static_cast<size_t>(bs) * in);
   for (auto _ : state) {
-    gemm_nn(a.data(), b.data(), c.data(), bs, in, out);
-    benchmark::DoNotOptimize(c.data());
+    if (kCall == GemmCall::kForward) {
+      gemm_nn(x.data(), w.data(), y.data(), bs, in, out);
+      benchmark::DoNotOptimize(y.data());
+    } else if (kCall == GemmCall::kWeightGrad) {
+      gemm_tn(x.data(), g.data(), gw.data(), bs, in, out, /*accumulate=*/true);
+      benchmark::DoNotOptimize(gw.data());
+    } else {
+      gemm_nt(g.data(), w.data(), gin.data(), bs, out, in);
+      benchmark::DoNotOptimize(gin.data());
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * bs *
                           in * out);
 }
-BENCHMARK(BM_GemmForward);
+BENCHMARK_TEMPLATE(BM_Gemm, GemmCall::kForward)
+    ->Args({64, 128})->Args({128, 128})->Args({128, 64});
+BENCHMARK_TEMPLATE(BM_Gemm, GemmCall::kWeightGrad)
+    ->Args({64, 128})->Args({128, 128})->Args({128, 64});
+BENCHMARK_TEMPLATE(BM_Gemm, GemmCall::kInputGrad)
+    ->Args({64, 128})->Args({128, 128})->Args({128, 64});
 
 void BM_SyncTrackerUnion(benchmark::State& state) {
   // A client stale by `range` rounds under q = 20% masking of a 33k-dim

@@ -65,7 +65,7 @@ commands:
           breakdowns, sticky-cohort churn, mask-overlap stats and the
           scenario fault timeline; --json emits one machine-readable
           document instead of tables
-  help    show this message
+  help    show this message (so does --help after any command)
 
 run flags:
   --exec MODE        round execution model: sync | async         [sync]
@@ -983,12 +983,13 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
     if (const size_t eq = key.find('='); eq != std::string::npos) {
       value = key.substr(eq + 1);
       key = key.substr(0, eq);
-    } else if (key == "dry-run" ||
+    } else if (key == "dry-run" || key == "help" ||
                ((key == "metrics" || key == "scenarios") &&
                 p.command == "list") ||
                (key == "json" && p.command == "report")) {
-      // Boolean flags never consume the next token. `--metrics` is a
-      // value flag everywhere (the JSONL sink path) EXCEPT under `list`,
+      // Boolean flags never consume the next token; `--help` on any
+      // command prints the usage. `--metrics` is a value flag
+      // everywhere (the JSONL sink path) EXCEPT under `list`,
       // where the bare form selects the metric-registry listing;
       // `--scenarios` likewise selects the bundled-scenario listing.
       // `--json` is a value flag everywhere (the summary file path)
@@ -1727,6 +1728,10 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   if (!parsed.error.empty()) {
     err << "error: " << parsed.error << "\n" << kUsage;
     return 2;
+  }
+  if (parsed.flags.count("help") != 0) {
+    out << kUsage;
+    return 0;
   }
   try {
     // Codec kernel resolution is lazy (first quantized block), so an

@@ -1,7 +1,8 @@
 #include "compress/topk.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "common/check.h"
 
@@ -9,27 +10,26 @@ namespace gluefl {
 
 namespace {
 
-// Orders candidate indices by (|x| desc, index asc).
-struct MagnitudeGreater {
-  const float* x;
-  bool operator()(uint32_t a, uint32_t b) const {
-    const float ma = std::fabs(x[a]);
-    const float mb = std::fabs(x[b]);
-    if (ma != mb) return ma > mb;
-    return a < b;
-  }
-};
+// One unsigned key per candidate: the bits of |x[i]| above ~i. Non-negative
+// floats order like their bit patterns, so a larger key means a larger
+// magnitude, then a lower index: the (|x| desc, index asc) order, with
+// every key distinct. A NaN's magnitude bits exceed +inf's, so NaNs rank
+// first instead of breaking the ordering.
+uint64_t magnitude_key(const float* x, uint32_t i) {
+  uint32_t bits;
+  std::memcpy(&bits, x + i, sizeof bits);
+  return (static_cast<uint64_t>(bits & 0x7fffffffu) << 32) | ~i;
+}
 
-SparseVec select_from(std::vector<uint32_t> cand, const float* x, size_t k) {
+SparseVec select_from(std::vector<uint64_t> keys, const float* x, size_t k) {
   SparseVec out;
-  if (k == 0 || cand.empty()) return out;
-  k = std::min(k, cand.size());
-  MagnitudeGreater cmp{x};
-  std::nth_element(cand.begin(), cand.begin() + static_cast<long>(k) - 1,
-                   cand.end(), cmp);
-  cand.resize(k);
-  std::sort(cand.begin(), cand.end());
-  out.idx = std::move(cand);
+  if (k == 0 || keys.empty()) return out;
+  k = std::min(k, keys.size());
+  std::nth_element(keys.begin(), keys.begin() + static_cast<long>(k) - 1,
+                   keys.end(), std::greater<>());
+  out.idx.resize(k);
+  for (size_t i = 0; i < k; ++i) out.idx[i] = ~static_cast<uint32_t>(keys[i]);
+  std::sort(out.idx.begin(), out.idx.end());
   out.val.resize(k);
   for (size_t i = 0; i < k; ++i) out.val[i] = x[out.idx[i]];
   return out;
@@ -38,19 +38,22 @@ SparseVec select_from(std::vector<uint32_t> cand, const float* x, size_t k) {
 }  // namespace
 
 SparseVec top_k_abs(const float* x, size_t n, size_t k) {
-  std::vector<uint32_t> cand(n);
-  for (size_t i = 0; i < n; ++i) cand[i] = static_cast<uint32_t>(i);
-  return select_from(std::move(cand), x, k);
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = magnitude_key(x, static_cast<uint32_t>(i));
+  }
+  return select_from(std::move(keys), x, k);
 }
 
 SparseVec top_k_abs_masked(const float* x, size_t n, size_t k,
                            const BitMask& allowed) {
   GLUEFL_CHECK(allowed.size() == n);
-  std::vector<uint32_t> cand;
-  cand.reserve(allowed.count());
-  allowed.for_each_set(
-      [&cand](size_t i) { cand.push_back(static_cast<uint32_t>(i)); });
-  return select_from(std::move(cand), x, k);
+  std::vector<uint64_t> keys;
+  keys.reserve(allowed.count());
+  allowed.for_each_set([&keys, x](size_t i) {
+    keys.push_back(magnitude_key(x, static_cast<uint32_t>(i)));
+  });
+  return select_from(std::move(keys), x, k);
 }
 
 SparseVec gather(const float* x, const BitMask& mask) {

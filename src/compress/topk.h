@@ -20,7 +20,8 @@ struct SparseVec {
 
 /// Selects the k entries of x[0..n) with the largest |value|.
 /// Ties are broken toward the lower index, making the result fully
-/// deterministic. Indices are returned in ascending order.
+/// deterministic; NaNs rank above every magnitude, +inf included.
+/// Indices are returned in ascending order.
 SparseVec top_k_abs(const float* x, size_t n, size_t k);
 
 /// Same, but only positions where `allowed.test(i)` may be selected

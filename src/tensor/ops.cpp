@@ -2,54 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace gluefl {
-
-void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m) * n);
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<size_t>(i) * k;
-    float* ci = c + static_cast<size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const float av = ai[p];
-      const float* bp = b + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) ci[j] += av * bp[j];
-    }
-  }
-}
-
-void gemm_nt(const float* a, const float* b, float* c, int m, int n, int k,
-             bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m) * k);
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<size_t>(i) * n;
-    float* ci = c + static_cast<size_t>(i) * k;
-    for (int p = 0; p < k; ++p) {
-      const float* bp = b + static_cast<size_t>(p) * n;
-      float acc = accumulate ? ci[p] : 0.0f;
-      // dot over the contiguous axis
-      float s = 0.0f;
-      for (int j = 0; j < n; ++j) s += ai[j] * bp[j];
-      ci[p] = acc + s;
-    }
-  }
-}
-
-void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(k) * n);
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<size_t>(i) * k;
-    const float* bi = b + static_cast<size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const float av = ai[p];
-      float* cp = c + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) cp[j] += av * bi[j];
-    }
-  }
-}
 
 void axpy(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];

@@ -2,8 +2,20 @@
 //
 // All matrices are row-major, shapes given as (rows, cols). The GEMM
 // variants cover the three access patterns needed by forward / backward
-// passes of fully-connected layers; the inner loops are written in the
-// i-k-j order so that the compiler auto-vectorizes the unit-stride axis.
+// passes of fully-connected layers.
+//
+// GEMM numeric contract (DESIGN.md §7b). The kernels are register-tiled
+// and ISA-dispatched (gemm.h), but every output element is computed the
+// same way by every variant, thread count and tile position:
+//   - each product is a float multiply followed by a separate float add;
+//     no FMA, no reassociation;
+//   - an element sums its reduction index in ascending order;
+//   - gemm_nn / gemm_tn start that sum from +0.0f, or from the old C
+//     when `accumulate` is set;
+//   - gemm_nt sums s from +0.0f and stores s, or C_old + s when
+//     `accumulate` is set.
+// So results are bit-identical to the plain i-k-j loops these kernels
+// replaced, and to each other.
 #pragma once
 
 #include <cstddef>

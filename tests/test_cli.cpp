@@ -146,6 +146,20 @@ TEST(CliErrors, HelpExitsCleanly) {
   EXPECT_NE(r.out.find("usage"), std::string::npos);
 }
 
+TEST(CliErrors, CommandHelpFlagPrintsUsageToStdout) {
+  for (const char* cmd : {"run", "sweep", "resume", "list", "profile",
+                          "report"}) {
+    const CliResult r = invoke({cmd, "--help"});
+    EXPECT_EQ(r.code, 0) << cmd << ": " << r.err;
+    EXPECT_EQ(r.out.rfind("usage: gluefl", 0), 0u) << cmd;
+    EXPECT_TRUE(r.err.empty()) << cmd << ": " << r.err;
+  }
+  // --help wins over other flags, and never consumes the next token.
+  const CliResult r = invoke({"run", "--help", "--rounds", "abc"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.rfind("usage: gluefl", 0), 0u);
+}
+
 // ---------------------------------------------------------------- run
 
 TEST(CliRun, TwoRoundGlueFlSmokeEmitsTableAndJson) {

@@ -1,6 +1,8 @@
 // BitMask / top-k / encoding / error-feedback / quantizer tests.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +145,68 @@ TEST(TopK, MatchesSortReference) {
       EXPECT_LE(std::fabs(x[i]), min_kept + 1e-6f);
     }
   }
+}
+
+// Full sort by (|x| desc, index asc), first k, ascending: the selection
+// order top_k_abs defines, on inputs without NaN.
+std::vector<uint32_t> full_sort_top_k(const std::vector<float>& x,
+                                      const std::vector<uint32_t>& cand,
+                                      size_t k) {
+  std::vector<uint32_t> order = cand;
+  std::sort(order.begin(), order.end(), [&x](uint32_t a, uint32_t b) {
+    const float ma = std::fabs(x[a]), mb = std::fabs(x[b]);
+    return ma != mb ? ma > mb : a < b;
+  });
+  order.resize(std::min(k, order.size()));
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+TEST(TopK, EqualsFullSortOnTiesZerosAndDenormals) {
+  Rng rng(22);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> x(4000);
+  for (auto& v : x) {
+    const float sign = rng.uniform() < 0.5 ? -1.0f : 1.0f;
+    switch (rng.uniform_int(0, 4)) {
+      case 0: v = sign * 0.0f; break;
+      case 1:
+        v = sign * denorm * static_cast<float>(rng.uniform_int(1, 3));
+        break;
+      case 2: v = sign * 1.5f; break;  // many exact ties
+      default: v = static_cast<float>(rng.normal());
+    }
+  }
+  std::vector<uint32_t> all(x.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  BitMask allowed(x.size());
+  std::vector<uint32_t> odd;
+  for (size_t i = 1; i < x.size(); i += 2) {
+    allowed.set(i);
+    odd.push_back(static_cast<uint32_t>(i));
+  }
+  for (size_t k : {1, 7, 100, 1500, 2500, 3999, 4000}) {
+    const SparseVec s = top_k_abs(x.data(), x.size(), k);
+    EXPECT_EQ(s.idx, full_sort_top_k(x, all, k)) << "k=" << k;
+    for (size_t i = 0; i < s.nnz(); ++i) {
+      EXPECT_EQ(std::memcmp(&s.val[i], &x[s.idx[i]], sizeof(float)), 0);
+    }
+    EXPECT_EQ(top_k_abs_masked(x.data(), x.size(), k, allowed).idx,
+              full_sort_top_k(x, odd, k))
+        << "masked k=" << k;
+  }
+}
+
+TEST(TopK, NanRanksAboveInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x{1.0f, -inf, 3.0f, -nan, inf, nan};
+  const SparseVec one = top_k_abs(x.data(), x.size(), 1);
+  ASSERT_EQ(one.nnz(), 1u);
+  EXPECT_EQ(one.idx[0], 3u);  // the lower-index NaN; its sign is ignored
+  EXPECT_TRUE(std::isnan(one.val[0]));
+  EXPECT_EQ(top_k_abs(x.data(), x.size(), 3).idx,
+            (std::vector<uint32_t>{1, 3, 5}));  // NaNs, then -inf
 }
 
 TEST(TopK, MaskedSelectionHonorsMask) {

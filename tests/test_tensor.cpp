@@ -1,86 +1,231 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tensor/gemm.h"
 
 namespace gluefl {
 namespace {
 
-// Reference GEMM with explicit transposition flags.
-std::vector<float> ref_gemm(const std::vector<float>& a,
-                            const std::vector<float>& b, int m, int k, int n,
-                            bool ta, bool tb) {
-  std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
+// The plain GEMM loops the register-tiled kernels replaced. They define
+// the numeric contract in ops.h: every variant must match them bit for bit.
+void ref_gemm_nn(const float* a, const float* b, float* c, int m, int k, int n,
+                 bool accumulate) {
+  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m) * n);
   for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float s = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        const float av = ta ? a[static_cast<size_t>(p) * m + i]
-                            : a[static_cast<size_t>(i) * k + p];
-        const float bv = tb ? b[static_cast<size_t>(j) * k + p]
-                            : b[static_cast<size_t>(p) * n + j];
-        s += av * bv;
-      }
-      c[static_cast<size_t>(i) * n + j] = s;
+    const float* ai = a + static_cast<size_t>(i) * k;
+    float* ci = c + static_cast<size_t>(i) * n;
+    for (int p = 0; p < k; ++p) {
+      const float av = ai[p];
+      const float* bp = b + static_cast<size_t>(p) * n;
+      for (int j = 0; j < n; ++j) ci[j] += av * bp[j];
     }
   }
-  return c;
 }
 
+void ref_gemm_nt(const float* a, const float* b, float* c, int m, int n, int k,
+                 bool accumulate) {
+  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m) * k);
+  for (int i = 0; i < m; ++i) {
+    const float* ai = a + static_cast<size_t>(i) * n;
+    float* ci = c + static_cast<size_t>(i) * k;
+    for (int p = 0; p < k; ++p) {
+      const float* bp = b + static_cast<size_t>(p) * n;
+      float acc = accumulate ? ci[p] : 0.0f;
+      float s = 0.0f;
+      for (int j = 0; j < n; ++j) s += ai[j] * bp[j];
+      ci[p] = acc + s;
+    }
+  }
+}
+
+void ref_gemm_tn(const float* a, const float* b, float* c, int m, int k, int n,
+                 bool accumulate) {
+  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(k) * n);
+  for (int i = 0; i < m; ++i) {
+    const float* ai = a + static_cast<size_t>(i) * k;
+    const float* bi = b + static_cast<size_t>(i) * n;
+    for (int p = 0; p < k; ++p) {
+      const float av = ai[p];
+      float* cp = c + static_cast<size_t>(p) * n;
+      for (int j = 0; j < n; ++j) cp[j] += av * bi[j];
+    }
+  }
+}
+
+// Normals with exact zeros and negative zeros mixed in, so a kernel that
+// started a sum from its first product (or dropped a +0.0f) would differ.
 std::vector<float> random_vec(size_t n, Rng& rng) {
   std::vector<float> v(n);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
+  for (auto& x : v) {
+    const double u = rng.uniform();
+    x = u < 0.05 ? -0.0f : u < 0.1 ? 0.0f : static_cast<float>(rng.normal());
+  }
   return v;
 }
 
+using gemm_detail::Isa;
+
+enum class GemmKind { kNn, kNt, kTn };
+
+// Element counts of A, B and C for the kind's argument order (d0, d1, d2),
+// which is (m, k, n) for nn/tn and (m, n, k) for nt.
+struct GemmShape {
+  size_t a, b, c;
+};
+GemmShape gemm_shape(GemmKind kind, int d0, int d1, int d2) {
+  const size_t x = d0, y = d1, z = d2;
+  switch (kind) {
+    case GemmKind::kNn: return {x * y, y * z, x * z};
+    case GemmKind::kNt: return {x * y, z * y, x * z};
+    case GemmKind::kTn: return {x * y, x * z, y * z};
+  }
+  return {0, 0, 0};
+}
+
+void run_ref(GemmKind kind, const float* a, const float* b, float* c, int d0,
+             int d1, int d2, bool acc) {
+  switch (kind) {
+    case GemmKind::kNn: ref_gemm_nn(a, b, c, d0, d1, d2, acc); break;
+    case GemmKind::kNt: ref_gemm_nt(a, b, c, d0, d1, d2, acc); break;
+    case GemmKind::kTn: ref_gemm_tn(a, b, c, d0, d1, d2, acc); break;
+  }
+}
+
+void run_isa(GemmKind kind, Isa isa, const float* a, const float* b, float* c,
+             int d0, int d1, int d2, bool acc) {
+  switch (kind) {
+    case GemmKind::kNn:
+      gemm_detail::gemm_nn(isa, a, b, c, d0, d1, d2, acc);
+      break;
+    case GemmKind::kNt:
+      gemm_detail::gemm_nt(isa, a, b, c, d0, d1, d2, acc);
+      break;
+    case GemmKind::kTn:
+      gemm_detail::gemm_tn(isa, a, b, c, d0, d1, d2, acc);
+      break;
+  }
+}
+
+// Every shape with each dimension in {1, tile-1, tile, tile+1, 35, 62, 64,
+// 128, 256} for both variants' tile rows and columns, up to 2^18
+// multiply-adds (which keeps 16x128x128 and every 256 paired with small
+// dimensions, and the suite quick under sanitizers), on every variant the
+// CPU runs: memcmp-equal to the reference.
+void expect_bitwise_equal(GemmKind kind, bool acc) {
+  std::vector<Isa> isas;
+  std::vector<int> dims{1, 35, 62, 64, 128, 256};
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2}) {
+    if (!gemm_detail::isa_supported(isa)) {
+      std::printf("[  SKIPPED ] GEMM variant %d: not supported by this "
+                  "build/CPU\n", static_cast<int>(isa));
+      continue;
+    }
+    isas.push_back(isa);
+    const auto& k = gemm_detail::kernels(isa);
+    for (int t : {k.tile_rows, k.tile_cols}) {
+      for (int d : {t - 1, t, t + 1}) dims.push_back(d);
+    }
+  }
+  std::sort(dims.begin(), dims.end());
+  dims.erase(std::unique(dims.begin(), dims.end()), dims.end());
+  Rng rng(static_cast<uint64_t>(kind) * 2 + acc + 11);
+  int cases = 0;
+  for (int d0 : dims) {
+    for (int d1 : dims) {
+      for (int d2 : dims) {
+        if (static_cast<long>(d0) * d1 * d2 > (1L << 18)) continue;
+        const GemmShape s = gemm_shape(kind, d0, d1, d2);
+        const auto a = random_vec(s.a, rng);
+        const auto b = random_vec(s.b, rng);
+        const auto c0 = random_vec(s.c, rng);
+        std::vector<float> want = c0;
+        run_ref(kind, a.data(), b.data(), want.data(), d0, d1, d2, acc);
+        for (Isa isa : isas) {
+          std::vector<float> got = c0;
+          run_isa(kind, isa, a.data(), b.data(), got.data(), d0, d1, d2, acc);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) * want.size()), 0)
+              << gemm_detail::kernels(isa).name << " shape " << d0 << "x"
+              << d1 << "x" << d2;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 1500);
+}
+
 TEST(Tensor, GemmNnMatchesReference) {
-  Rng rng(1);
-  const int m = 5, k = 7, n = 3;
-  const auto a = random_vec(static_cast<size_t>(m) * k, rng);
-  const auto b = random_vec(static_cast<size_t>(k) * n, rng);
-  std::vector<float> c(static_cast<size_t>(m) * n);
-  gemm_nn(a.data(), b.data(), c.data(), m, k, n);
-  const auto ref = ref_gemm(a, b, m, k, n, false, false);
-  for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
+  expect_bitwise_equal(GemmKind::kNn, false);
 }
-
-TEST(Tensor, GemmNnAccumulates) {
-  Rng rng(2);
-  const int m = 2, k = 3, n = 2;
-  const auto a = random_vec(static_cast<size_t>(m) * k, rng);
-  const auto b = random_vec(static_cast<size_t>(k) * n, rng);
-  std::vector<float> c(static_cast<size_t>(m) * n, 1.0f);
-  gemm_nn(a.data(), b.data(), c.data(), m, k, n, /*accumulate=*/true);
-  const auto ref = ref_gemm(a, b, m, k, n, false, false);
-  for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i] + 1.0f, 1e-4);
-}
-
+TEST(Tensor, GemmNnAccumulates) { expect_bitwise_equal(GemmKind::kNn, true); }
 TEST(Tensor, GemmNtMatchesReference) {
-  Rng rng(3);
-  // C[m,k] = A[m,n] * B[k,n]^T
-  const int m = 4, n = 6, k = 5;
-  const auto a = random_vec(static_cast<size_t>(m) * n, rng);
-  const auto b = random_vec(static_cast<size_t>(k) * n, rng);
-  std::vector<float> c(static_cast<size_t>(m) * k);
-  gemm_nt(a.data(), b.data(), c.data(), m, n, k);
-  const auto ref = ref_gemm(a, b, m, n, k, false, true);
-  for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
+  expect_bitwise_equal(GemmKind::kNt, false);
+}
+TEST(Tensor, GemmNtAccumulates) { expect_bitwise_equal(GemmKind::kNt, true); }
+TEST(Tensor, GemmTnMatchesReference) {
+  expect_bitwise_equal(GemmKind::kTn, false);
+}
+TEST(Tensor, GemmTnAccumulates) { expect_bitwise_equal(GemmKind::kTn, true); }
+
+// The public gemm_* run the CPUID-picked variant at the training shapes.
+TEST(Tensor, GemmPublicEntryPointsMatchReference) {
+  Rng rng(5);
+  const int bs = 16, in = 128, out = 64;
+  const auto x = random_vec(static_cast<size_t>(bs) * in, rng);
+  const auto w = random_vec(static_cast<size_t>(in) * out, rng);
+  const auto g = random_vec(static_cast<size_t>(bs) * out, rng);
+  const auto same = [](const std::vector<float>& u,
+                        const std::vector<float>& v) {
+    return std::memcmp(u.data(), v.data(), sizeof(float) * u.size()) == 0;
+  };
+  std::vector<float> y(static_cast<size_t>(bs) * out), y_ref(y.size());
+  gemm_nn(x.data(), w.data(), y.data(), bs, in, out);
+  ref_gemm_nn(x.data(), w.data(), y_ref.data(), bs, in, out, false);
+  EXPECT_TRUE(same(y, y_ref));
+  std::vector<float> gw(static_cast<size_t>(in) * out, 0.5f), gw_ref = gw;
+  gemm_tn(x.data(), g.data(), gw.data(), bs, in, out, true);
+  ref_gemm_tn(x.data(), g.data(), gw_ref.data(), bs, in, out, true);
+  EXPECT_TRUE(same(gw, gw_ref));
+  std::vector<float> gin(static_cast<size_t>(bs) * in), gin_ref(gin.size());
+  gemm_nt(g.data(), w.data(), gin.data(), bs, out, in);
+  ref_gemm_nt(g.data(), w.data(), gin_ref.data(), bs, out, in, false);
+  EXPECT_TRUE(same(gin, gin_ref));
 }
 
-TEST(Tensor, GemmTnMatchesReference) {
-  Rng rng(4);
-  // C[k,n] = A[m,k]^T * B[m,n]
-  const int m = 6, k = 4, n = 3;
-  const auto a = random_vec(static_cast<size_t>(m) * k, rng);
-  const auto b = random_vec(static_cast<size_t>(m) * n, rng);
-  std::vector<float> c(static_cast<size_t>(k) * n);
-  gemm_tn(a.data(), b.data(), c.data(), m, k, n);
-  const auto ref = ref_gemm(a, b, k, m, n, true, false);
-  for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
+// The workspace is per thread: concurrent callers of different shapes
+// (as the engine's 1/4/8 training threads are) never see each other's
+// scratch.
+TEST(Tensor, GemmConcurrentCallersMatchReference) {
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      Rng rng(100 + t);
+      const int m = 5 + t, n = 37 + 9 * t, k = 64 + 3 * t;
+      const auto a = random_vec(static_cast<size_t>(m) * n, rng);
+      const auto b = random_vec(static_cast<size_t>(k) * n, rng);
+      std::vector<float> want(static_cast<size_t>(m) * k);
+      ref_gemm_nt(a.data(), b.data(), want.data(), m, n, k, false);
+      for (int rep = 0; rep < 50; ++rep) {
+        std::vector<float> got(want.size());
+        gemm_nt(a.data(), b.data(), got.data(), m, n, k);
+        mismatches[t] += std::memcmp(got.data(), want.data(),
+                                     sizeof(float) * got.size()) != 0;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(Tensor, Axpy) {
