@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the
-// simulator: top-k selection, bitmask algebra, sparse scatter, GEMM, and
-// the SyncTracker union that dominates staleness accounting.
+// simulator: top-k selection, bitmask algebra, sparse scatter, GEMM, the
+// non-GEMM training layers (BatchNorm, SGD momentum, a whole training
+// step), and the SyncTracker union that dominates staleness accounting.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -9,6 +10,9 @@
 #include "compress/bitmask.h"
 #include "compress/topk.h"
 #include "fl/sync_tracker.h"
+#include "nn/batchnorm.h"
+#include "nn/optimizer.h"
+#include "nn/proxies.h"
 #include "tensor/ops.h"
 
 namespace gluefl {
@@ -21,9 +25,12 @@ std::vector<float> random_vec(size_t n, uint64_t seed) {
   return v;
 }
 
+// Args: n, k; k = 0 means q = 20%. (33600, 1339) is the openimage
+// shufflenet proxy's dimension and per-client unique top-k.
 void BM_TopKAbs(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const size_t k = n / 5;  // q = 20%
+  const size_t k =
+      state.range(1) > 0 ? static_cast<size_t>(state.range(1)) : n / 5;
   const auto x = random_vec(n, 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(top_k_abs(x.data(), n, k));
@@ -31,7 +38,9 @@ void BM_TopKAbs(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_TopKAbs)->Arg(33000)->Arg(62000)->Arg(1 << 20);
+BENCHMARK(BM_TopKAbs)
+    ->Args({33000, 0})->Args({62000, 0})->Args({1 << 20, 0})
+    ->Args({33600, 1339});
 
 void BM_TopKAbsMasked(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -106,6 +115,77 @@ BENCHMARK_TEMPLATE(BM_Gemm, GemmCall::kWeightGrad)
     ->Args({64, 128})->Args({128, 128})->Args({128, 64});
 BENCHMARK_TEMPLATE(BM_Gemm, GemmCall::kInputGrad)
     ->Args({64, 128})->Args({128, 128})->Args({128, 64});
+
+// One BatchNorm1d layer of the shufflenet proxy on a batch of 16, in
+// training mode. Args: bs, dim.
+template <bool kBackward>
+void BM_BatchNorm(benchmark::State& state) {
+  const int bs = static_cast<int>(state.range(0));
+  const int dim = static_cast<int>(state.range(1));
+  BatchNorm1d bn(dim);
+  bn.bind({0, bn.param_count()}, {0, bn.stat_count()});
+  std::vector<float> params(bn.param_count());
+  std::vector<float> stats(bn.stat_count());
+  Rng rng(7);
+  bn.init_params(params.data(), rng);
+  bn.init_stats(stats.data());
+  const auto x = random_vec(static_cast<size_t>(bs) * dim, 8);
+  const auto g = random_vec(static_cast<size_t>(bs) * dim, 9);
+  std::vector<float> y(x.size()), gin(x.size()), grads(params.size());
+  bn.forward(params.data(), stats.data(), x.data(), y.data(), bs, true);
+  for (auto _ : state) {
+    if (kBackward) {
+      bn.backward(params.data(), g.data(), gin.data(), grads.data(), bs);
+      benchmark::DoNotOptimize(gin.data());
+    } else {
+      bn.forward(params.data(), stats.data(), x.data(), y.data(), bs, true);
+      benchmark::DoNotOptimize(y.data());
+    }
+  }
+}
+void BM_BatchNormForward(benchmark::State& state) { BM_BatchNorm<false>(state); }
+void BM_BatchNormBackward(benchmark::State& state) { BM_BatchNorm<true>(state); }
+BENCHMARK(BM_BatchNormForward)->Args({16, 128});
+BENCHMARK(BM_BatchNormBackward)->Args({16, 128});
+
+// One client optimizer step over the openimage shufflenet proxy's 33,600
+// parameters.
+void BM_SgdMomentumStep(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  SgdMomentum opt(n, 0.9);
+  auto params = random_vec(n, 10);
+  const auto grads = random_vec(n, 11);
+  for (auto _ : state) {
+    opt.step(params.data(), grads.data(), 1e-3);
+    benchmark::DoNotOptimize(params.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n * 5 * sizeof(float)));
+}
+BENCHMARK(BM_SgdMomentumStep)->Arg(33600);
+
+// One local SGD step as the engine runs it: the shufflenet proxy on the
+// openimage shape (64 features, 64 classes), forward_backward plus the
+// momentum step, at batch size 16.
+void BM_TrainStep(benchmark::State& state) {
+  const int bs = 16, feat = 64, classes = 64;
+  ModelProxy proxy = make_shufflenet_proxy(feat, classes);
+  FlatModel& model = proxy.model;
+  Rng rng(12);
+  auto params = model.make_params(rng);
+  auto stats = model.make_stats();
+  std::vector<float> grads(model.param_dim());
+  const auto x = random_vec(static_cast<size_t>(bs) * feat, 13);
+  std::vector<int> y(static_cast<size_t>(bs));
+  for (int i = 0; i < bs; ++i) y[static_cast<size_t>(i)] = (i * 7) % classes;
+  SgdMomentum opt(model.param_dim(), 0.9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.forward_backward(
+        params.data(), stats.data(), x.data(), y.data(), bs, grads.data()));
+    opt.step(params.data(), grads.data(), 1e-3);
+  }
+}
+BENCHMARK(BM_TrainStep);
 
 void BM_SyncTrackerUnion(benchmark::State& state) {
   // A client stale by `range` rounds under q = 20% masking of a 33k-dim

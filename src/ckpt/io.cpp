@@ -193,7 +193,8 @@ std::vector<float> Reader::f32s() {
       static_cast<size_t>(varint_max(left_ / 4, "float-array length"));
   std::vector<float> out(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), bytes(n * 4), n * 4);
+    const uint8_t* q = bytes(n * 4);
+    if (n > 0) std::memcpy(out.data(), q, n * 4);  // memcpy(nullptr) is UB
   } else {
     for (size_t i = 0; i < n; ++i) out[i] = f32();
   }

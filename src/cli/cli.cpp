@@ -1149,6 +1149,9 @@ int cmd_run(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   validate_output_path("events", opt.events_path);
   telemetry::configure({opt.trace_path, opt.metrics_path});
   if (!opt.events_path.empty()) events::configure(opt.events_path);
+  // Dataset synthesis, proxy, engine and strategy construction; it ends
+  // where the first round begins.
+  telemetry::Span setup("setup");
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
   const double rss_mb =
       static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
@@ -1194,12 +1197,14 @@ int cmd_run(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
       auto strategy = make_async_strategy(strategy_name, aopt.fedbuff);
       const auto hook =
           make_ckpt_hook(copts, opt, strategy_name, &aopt, *strategy);
+      setup.end();
       res = async_engine.run(*strategy, hook.get());
     } else {
       auto strategy = make_strategy_for(strategy_name, k, opt.model,
                                         static_cast<int>(pop));
       const auto hook =
           make_ckpt_hook(copts, opt, strategy_name, nullptr, *strategy);
+      setup.end();
       res = engine.run(*strategy, hook.get());
     }
   } catch (const ckpt::SimulatedCrash& crash) {
@@ -1369,6 +1374,8 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     aopt.fedbuff.max_staleness =
         static_cast<int>(meta_long_range(snap, "max_staleness", 0, 1000000));
   }
+  // As in cmd_run, plus restoring the snapshot into engine and strategy.
+  telemetry::Span setup("setup");
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
   const double rss_mb =
       static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
@@ -1387,6 +1394,7 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
       const auto hook =
           make_ckpt_hook(copts, opt, strategy_name, &aopt, *strategy, path);
       AsyncRunState state = ckpt::restore_async_run(snap, engine, *strategy);
+      setup.end();
       res = async_engine.resume(*strategy, std::move(state),
                                 ckpt::history_result(snap), hook.get());
     } else {
@@ -1395,6 +1403,7 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
       const auto hook = make_ckpt_hook(copts, opt, strategy_name, nullptr,
                                        *strategy, path);
       ckpt::restore_sync_run(snap, engine, *strategy);
+      setup.end();
       res = engine.run_from(*strategy, snap.next_round,
                             ckpt::history_result(snap), hook.get());
     }
@@ -1465,7 +1474,9 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
       << " over " << opt.env << " (N=" << pop << ", conc=" << conc
       << ", " << opt.rounds << " aggregations, " << arms << " arms)\n\n";
 
+  telemetry::Span setup("setup");  // shared by the arms
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
+  setup.end();
   const double rss_mb =
       static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
   std::vector<LabeledRun> runs;
@@ -1592,7 +1603,9 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
       << opt.env << " (N=" << pop << ", K=" << k << ", "
       << opt.rounds << " rounds, " << arms << " arms)\n\n";
 
+  telemetry::Span setup("setup");  // shared by the arms
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
+  setup.end();
   const double rss_mb =
       static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
   std::vector<LabeledRun> runs;

@@ -1,6 +1,7 @@
 #include "compress/topk.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 
@@ -10,50 +11,87 @@ namespace gluefl {
 
 namespace {
 
-// One unsigned key per candidate: the bits of |x[i]| above ~i. Non-negative
-// floats order like their bit patterns, so a larger key means a larger
-// magnitude, then a lower index: the (|x| desc, index asc) order, with
-// every key distinct. A NaN's magnitude bits exceed +inf's, so NaNs rank
-// first instead of breaking the ordering.
-uint64_t magnitude_key(const float* x, uint32_t i) {
+// The 31 magnitude bits of x[i]. Non-negative floats order like their bit
+// patterns, so a larger value means a larger |x[i]|; a NaN's magnitude
+// bits exceed +inf's, so NaNs rank first instead of breaking the order.
+uint32_t magnitude(const float* x, size_t i) {
   uint32_t bits;
   std::memcpy(&bits, x + i, sizeof bits);
-  return (static_cast<uint64_t>(bits & 0x7fffffffu) << 32) | ~i;
+  return bits & 0x7fffffffu;
 }
 
-SparseVec select_from(std::vector<uint64_t> keys, const float* x, size_t k) {
+// The histogram splits magnitudes on their top 12 bits.
+constexpr int kBucketShift = 31 - 12;
+constexpr uint32_t kBuckets = uint32_t{1} << 12;
+
+// Selects the first k of `count` candidates under (magnitude desc, index
+// asc), a strict order since indices are unique, and returns them in
+// ascending index order. walk(f) calls f(i) on every candidate index in
+// ascending order. Two walks: a histogram finds the bucket holding the
+// k-th magnitude, then a gather keeps every candidate at or above that
+// bucket, in index order. The exact threshold magnitude comes from the
+// gathered boundary bucket; the output is everything above it plus the
+// lowest-index ties at it.
+template <typename Walk>
+SparseVec select_from(const float* x, size_t count, size_t k, Walk&& walk) {
   SparseVec out;
-  if (k == 0 || keys.empty()) return out;
-  k = std::min(k, keys.size());
-  std::nth_element(keys.begin(), keys.begin() + static_cast<long>(k) - 1,
-                   keys.end(), std::greater<>());
-  out.idx.resize(k);
-  for (size_t i = 0; i < k; ++i) out.idx[i] = ~static_cast<uint32_t>(keys[i]);
-  std::sort(out.idx.begin(), out.idx.end());
+  k = std::min(k, count);
+  if (k == 0) return out;
+
+  std::array<uint32_t, kBuckets> hist{};
+  walk([&hist, x](size_t i) { ++hist[magnitude(x, i) >> kBucketShift]; });
+  size_t above = 0;  // candidates in buckets above the boundary bucket
+  uint32_t bucket = kBuckets - 1;
+  while (above + hist[bucket] < k) above += hist[bucket--];
+
+  // (magnitude << 32 | index) of every candidate in or above the bucket.
+  std::vector<uint64_t> kept;
+  kept.reserve(above + hist[bucket]);
+  std::vector<uint32_t> boundary;  // magnitudes in the boundary bucket
+  boundary.reserve(hist[bucket]);
+  walk([&kept, &boundary, bucket, x](size_t i) {
+    const uint32_t m = magnitude(x, i);
+    if ((m >> kBucketShift) >= bucket) {
+      kept.push_back(static_cast<uint64_t>(m) << 32 | i);
+      if ((m >> kBucketShift) == bucket) boundary.push_back(m);
+    }
+  });
+  const size_t need = k - above;  // 1 <= need <= boundary.size()
+  std::nth_element(boundary.begin(),
+                   boundary.begin() + static_cast<long>(need) - 1,
+                   boundary.end(), std::greater<>());
+  const uint32_t threshold = boundary[need - 1];
+  size_t ties = need;  // how many candidates AT the threshold are kept
+  for (const uint32_t m : boundary) ties -= m > threshold;
+
+  out.idx.reserve(k);
+  for (const uint64_t c : kept) {
+    const uint32_t m = static_cast<uint32_t>(c >> 32);
+    bool keep = m > threshold;
+    if (m == threshold && ties > 0) {
+      --ties;
+      keep = true;
+    }
+    if (keep) out.idx.push_back(static_cast<uint32_t>(c));
+  }
   out.val.resize(k);
-  for (size_t i = 0; i < k; ++i) out.val[i] = x[out.idx[i]];
+  for (size_t j = 0; j < k; ++j) out.val[j] = x[out.idx[j]];
   return out;
 }
 
 }  // namespace
 
 SparseVec top_k_abs(const float* x, size_t n, size_t k) {
-  std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = magnitude_key(x, static_cast<uint32_t>(i));
-  }
-  return select_from(std::move(keys), x, k);
+  return select_from(x, n, k, [n](auto&& f) {
+    for (size_t i = 0; i < n; ++i) f(i);
+  });
 }
 
 SparseVec top_k_abs_masked(const float* x, size_t n, size_t k,
                            const BitMask& allowed) {
   GLUEFL_CHECK(allowed.size() == n);
-  std::vector<uint64_t> keys;
-  keys.reserve(allowed.count());
-  allowed.for_each_set([&keys, x](size_t i) {
-    keys.push_back(magnitude_key(x, static_cast<uint32_t>(i)));
-  });
-  return select_from(std::move(keys), x, k);
+  return select_from(x, allowed.count(), k,
+                     [&allowed](auto&& f) { allowed.for_each_set(f); });
 }
 
 SparseVec gather(const float* x, const BitMask& mask) {

@@ -4,6 +4,15 @@
 
 namespace gluefl {
 
+void relu_backward(const float* __restrict out, const float* __restrict gout,
+                   size_t n, float* __restrict gin) {
+  // Both operands load unconditionally, so the select vectorizes.
+  for (size_t i = 0; i < n; ++i) {
+    const float g = gout[i];
+    gin[i] = out[i] > 0.0f ? g : 0.0f;
+  }
+}
+
 ReLU::ReLU(int dim) : dim_(dim) { GLUEFL_CHECK(dim > 0); }
 
 void ReLU::init_params(float* /*flat_params*/, Rng& /*rng*/) const {}
@@ -21,10 +30,7 @@ void ReLU::forward(const float* /*flat_params*/, float* /*flat_stats*/,
 void ReLU::backward(const float* /*flat_params*/, const float* gout,
                     float* gin, float* /*flat_grads*/, int bs) {
   GLUEFL_CHECK_MSG(bs == cached_bs_, "backward batch differs from forward");
-  const size_t n = static_cast<size_t>(bs) * dim_;
-  for (size_t i = 0; i < n; ++i) {
-    gin[i] = cached_out_[i] > 0.0f ? gout[i] : 0.0f;
-  }
+  relu_backward(cached_out_.data(), gout, static_cast<size_t>(bs) * dim_, gin);
 }
 
 std::unique_ptr<Layer> ReLU::clone() const {

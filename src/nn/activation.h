@@ -7,6 +7,9 @@
 
 namespace gluefl {
 
+/// gin[i] = out[i] > 0 ? gout[i] : +0, where out is the ReLU's output.
+void relu_backward(const float* out, const float* gout, size_t n, float* gin);
+
 class ReLU final : public Layer {
  public:
   explicit ReLU(int dim);

@@ -43,6 +43,10 @@ class BatchNorm1d final : public Layer {
   std::vector<float> xhat_;     // normalized inputs [bs, dim]
   std::vector<float> inv_std_;  // 1/sqrt(var + eps) per feature
   int cached_bs_ = 0;
+  // per-call scratch: double per-feature sums [2, dim] and float
+  // per-feature coefficients [up to 3, dim]
+  std::vector<double> sums_;
+  std::vector<float> coef_;
 };
 
 }  // namespace gluefl

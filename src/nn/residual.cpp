@@ -78,9 +78,7 @@ void ResidualBlock::backward(const float* flat_params, const float* gout,
   gbuf_a_.resize(n);
   gbuf_b_.resize(n);
   // Through the final ReLU.
-  for (size_t i = 0; i < n; ++i) {
-    gbuf_a_[i] = final_out_[i] > 0.0f ? gout[i] : 0.0f;
-  }
+  relu_backward(final_out_.data(), gout, n, gbuf_a_.data());
   // Skip path contribution.
   if (gin != nullptr) {
     for (size_t i = 0; i < n; ++i) gin[i] = gbuf_a_[i];

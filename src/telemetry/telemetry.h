@@ -167,10 +167,13 @@ class Span {
       armed_ = true;
     }
   }
-  ~Span() {
+  ~Span() { end(); }
+  /// Closes the span before its scope does; later calls are no-ops.
+  void end() {
     if (armed_ && detail::g_state != nullptr) {
       detail::span_emit(name_, t0_us_);
     }
+    armed_ = false;
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

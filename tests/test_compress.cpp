@@ -2,7 +2,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -194,6 +196,157 @@ TEST(TopK, EqualsFullSortOnTiesZerosAndDenormals) {
     EXPECT_EQ(top_k_abs_masked(x.data(), x.size(), k, allowed).idx,
               full_sort_top_k(x, odd, k))
         << "masked k=" << k;
+  }
+}
+
+// The packed-key selection the radix threshold select replaced, kept as
+// the bitwise reference (DESIGN.md §7b): one unique key per candidate,
+// |x| bits above ~index, nth_element, then an index sort. It defines the
+// order for NaN too (above +inf, by bit pattern).
+SparseVec reference_top_k(const std::vector<float>& x,
+                          const std::vector<uint32_t>& cand, size_t k) {
+  std::vector<uint64_t> keys;
+  for (const uint32_t i : cand) {
+    uint32_t bits;
+    std::memcpy(&bits, &x[i], sizeof bits);
+    keys.push_back((static_cast<uint64_t>(bits & 0x7fffffffu) << 32) | ~i);
+  }
+  SparseVec out;
+  k = std::min(k, keys.size());
+  if (k == 0) return out;
+  std::nth_element(keys.begin(), keys.begin() + static_cast<long>(k) - 1,
+                   keys.end(), std::greater<>());
+  for (size_t j = 0; j < k; ++j) {
+    out.idx.push_back(~static_cast<uint32_t>(keys[j]));
+  }
+  std::sort(out.idx.begin(), out.idx.end());
+  for (const uint32_t i : out.idx) out.val.push_back(x[i]);
+  return out;
+}
+
+void expect_same_selection(const SparseVec& got, const SparseVec& want) {
+  ASSERT_EQ(got.idx, want.idx);
+  ASSERT_EQ(got.val.size(), want.val.size());
+  EXPECT_EQ(std::memcmp(got.val.data(), want.val.data(),
+                        sizeof(float) * got.val.size()),
+            0);
+}
+
+// Checks top_k_abs (all candidates) and top_k_abs_masked (those in
+// `allowed`) against the reference at every k in `ks`.
+void expect_matches_reference(const std::vector<float>& x,
+                              const BitMask& allowed,
+                              const std::vector<size_t>& ks) {
+  std::vector<uint32_t> all(x.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const std::vector<uint32_t> masked = allowed.to_indices();
+  for (const size_t k : ks) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    expect_same_selection(top_k_abs(x.data(), x.size(), k),
+                          reference_top_k(x, all, k));
+    expect_same_selection(top_k_abs_masked(x.data(), x.size(), k, allowed),
+                          reference_top_k(x, masked, k));
+  }
+}
+
+BitMask random_mask(size_t n, double density, uint64_t seed) {
+  Rng rng(seed);
+  BitMask m(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.uniform() < density) m.set(i);
+  }
+  return m;
+}
+
+TEST(TopK, MaskedRandomMaskMatchesFullSort) {
+  Rng rng(23);
+  std::vector<float> x(33600);
+  for (auto& v : x) {
+    // Coarse values force ties across and inside histogram buckets.
+    v = rng.uniform() < 0.3 ? static_cast<float>(rng.uniform_int(-8, 8))
+                            : static_cast<float>(rng.normal());
+  }
+  for (const double density : {0.03, 0.5, 0.97}) {
+    const BitMask allowed = random_mask(x.size(), density, 24);
+    const std::vector<uint32_t> cand = allowed.to_indices();
+    for (const size_t k : {size_t{1}, size_t{5}, size_t{1339}, cand.size()}) {
+      EXPECT_EQ(top_k_abs_masked(x.data(), x.size(), k, allowed).idx,
+                full_sort_top_k(x, cand, k))
+          << "density=" << density << " k=" << k;
+    }
+    expect_matches_reference(x, allowed, {1, 1339, 3000, x.size()});
+  }
+}
+
+TEST(TopK, AllEqualMagnitudesKeepLowestIndices) {
+  std::vector<float> x(1000);
+  for (size_t i = 0; i < x.size(); ++i) x[i] = i % 3 == 0 ? -0.25f : 0.25f;
+  for (const size_t k : {size_t{1}, size_t{333}, size_t{999}}) {
+    const SparseVec s = top_k_abs(x.data(), x.size(), k);
+    ASSERT_EQ(s.nnz(), k);
+    for (size_t i = 0; i < k; ++i) EXPECT_EQ(s.idx[i], i);
+  }
+  expect_matches_reference(x, random_mask(x.size(), 0.5, 25),
+                           {1, 100, 500, 1000});
+}
+
+TEST(TopK, KOnHistogramBucketBoundary) {
+  // Three groups of 100 magnitudes, each group inside one histogram bucket
+  // (the top 12 magnitude bits: 8 exponent + 4 mantissa bits), so k = 100
+  // and k = 200 end exactly on a bucket's last member and k = 101 / 201
+  // start the next bucket.
+  Rng rng(26);
+  std::vector<float> x;
+  for (const float lo : {8.0f, 2.0f, 0.5f}) {
+    for (int i = 0; i < 100; ++i) {
+      const float v = lo * (1.0f + static_cast<float>(rng.uniform()) / 32.0f);
+      x.push_back(i % 2 == 0 ? v : -v);
+    }
+  }
+  Rng shuffle_rng(27);
+  shuffle_rng.shuffle(x);
+  std::vector<uint32_t> all(x.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  for (const size_t k : {99, 100, 101, 199, 200, 201, 300}) {
+    EXPECT_EQ(top_k_abs(x.data(), x.size(), k).idx, full_sort_top_k(x, all, k))
+        << "k=" << k;
+  }
+  expect_matches_reference(x, random_mask(x.size(), 0.5, 28),
+                           {99, 100, 101, 150, 200, 300});
+}
+
+TEST(TopK, KEqualsNKeepsEverythingInOrder) {
+  const std::vector<float> x = {0.0f, -3.0f, 1.0f, -0.0f, 2.0f};
+  const SparseVec s = top_k_abs(x.data(), x.size(), x.size());
+  EXPECT_EQ(s.idx, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(std::memcmp(s.val.data(), x.data(), sizeof(float) * x.size()), 0);
+  BitMask allowed(x.size());
+  allowed.set(1);
+  allowed.set(3);
+  EXPECT_EQ(top_k_abs_masked(x.data(), x.size(), 2, allowed).idx,
+            (std::vector<uint32_t>{1, 3}));
+}
+
+TEST(TopK, NanAndInfinityUnderMask) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(29);
+  std::vector<float> x(5000);
+  for (auto& v : x) {
+    const double u = rng.uniform();
+    v = u < 0.02 ? (u < 0.01 ? nan : -nan)
+        : u < 0.05 ? (u < 0.035 ? inf : -inf)
+                   : static_cast<float>(rng.normal());
+  }
+  const BitMask allowed = random_mask(x.size(), 0.6, 30);
+  expect_matches_reference(x, allowed, {1, 10, 30, 80, 200, 2999, 5000});
+  // The masked NaNs rank first, then the masked infinities.
+  size_t nans = 0;
+  allowed.for_each_set([&](size_t i) { nans += std::isnan(x[i]) ? 1 : 0; });
+  const SparseVec s = top_k_abs_masked(x.data(), x.size(), nans, allowed);
+  for (size_t i = 0; i < s.nnz(); ++i) {
+    EXPECT_TRUE(allowed.test(s.idx[i]));
+    EXPECT_TRUE(std::isnan(s.val[i]));
   }
 }
 

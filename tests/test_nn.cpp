@@ -1,6 +1,8 @@
 // Layer/model tests: finite-difference gradient checks for every layer
 // type, BatchNorm semantics, optimizer math, and end-to-end trainability.
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -322,6 +324,215 @@ TEST(NnProxies, ResNetProxyGradCheck) {
   Rng rng(19);
   const auto res = grad_check(proxy.model, b.x.data(), b.y.data(), 8, rng, 96);
   EXPECT_LT(res.max_rel_err, 8e-2);
+}
+
+// ------------------------------------------ bitwise equality with the
+// feature-at-a-time loops the vectorized layer kernels replaced, kept here
+// as references (DESIGN.md §7b). Every comparison is memcmp: the fast
+// paths must not move a single bit, including on ±0, denormals and ±inf.
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+// Normals with ±0, ±denormal and ±inf sprinkled in; `special` is the
+// probability of a special value.
+std::vector<float> edge_values(size_t n, uint64_t seed, double special) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float kSpecial[] = {0.0f, -0.0f, 3 * denorm, -denorm, inf, -inf};
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = rng.uniform() < special
+            ? kSpecial[rng.uniform_int(0, 5)]
+            : static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+struct RefBatchNorm {
+  explicit RefBatchNorm(int d) : dim(d) {}
+  int dim;
+  float momentum = 0.1f;
+  float eps = 1e-5f;
+  std::vector<float> xhat, inv_std;
+
+  // params = [gamma, beta]; stats = [running mean, running var, count].
+  void forward(const float* params, float* stats, const float* in,
+               float* out, int bs, bool training) {
+    const float* gamma = params;
+    const float* beta = gamma + dim;
+    float* run_mean = stats;
+    float* run_var = run_mean + dim;
+    if (!training) {
+      for (int j = 0; j < dim; ++j) {
+        const float istd = 1.0f / std::sqrt(run_var[j] + eps);
+        const float m = run_mean[j];
+        for (int i = 0; i < bs; ++i) {
+          const size_t idx = static_cast<size_t>(i) * dim + j;
+          out[idx] = gamma[j] * (in[idx] - m) * istd + beta[j];
+        }
+      }
+      return;
+    }
+    xhat.resize(static_cast<size_t>(bs) * dim);
+    inv_std.resize(static_cast<size_t>(dim));
+    for (int j = 0; j < dim; ++j) {
+      double m = 0.0;
+      for (int i = 0; i < bs; ++i) m += in[static_cast<size_t>(i) * dim + j];
+      m /= bs;
+      double v = 0.0;
+      for (int i = 0; i < bs; ++i) {
+        const double d = in[static_cast<size_t>(i) * dim + j] - m;
+        v += d * d;
+      }
+      const double var_biased = v / bs;
+      const double var_unbiased = v / (bs - 1);
+      const float istd =
+          1.0f / std::sqrt(static_cast<float>(var_biased) + eps);
+      inv_std[static_cast<size_t>(j)] = istd;
+      for (int i = 0; i < bs; ++i) {
+        const size_t idx = static_cast<size_t>(i) * dim + j;
+        const float xh = (in[idx] - static_cast<float>(m)) * istd;
+        xhat[idx] = xh;
+        out[idx] = gamma[j] * xh + beta[j];
+      }
+      run_mean[j] = (1.0f - momentum) * run_mean[j] +
+                    momentum * static_cast<float>(m);
+      run_var[j] = (1.0f - momentum) * run_var[j] +
+                   momentum * static_cast<float>(var_unbiased);
+    }
+    stats[2 * dim] += 1.0f;
+  }
+
+  void backward(const float* params, const float* gout, float* gin,
+                float* grads, int bs) {
+    const float* gamma = params;
+    float* ggamma = grads;
+    float* gbeta = ggamma + dim;
+    for (int j = 0; j < dim; ++j) {
+      double sum_g = 0.0;
+      double sum_gx = 0.0;
+      for (int i = 0; i < bs; ++i) {
+        const size_t idx = static_cast<size_t>(i) * dim + j;
+        sum_g += gout[idx];
+        sum_gx += static_cast<double>(gout[idx]) * xhat[idx];
+      }
+      ggamma[j] += static_cast<float>(sum_gx);
+      gbeta[j] += static_cast<float>(sum_g);
+      if (gin != nullptr) {
+        const float istd = inv_std[static_cast<size_t>(j)];
+        const float c = gamma[j] * istd / static_cast<float>(bs);
+        for (int i = 0; i < bs; ++i) {
+          const size_t idx = static_cast<size_t>(i) * dim + j;
+          gin[idx] = c * (static_cast<float>(bs) * gout[idx] -
+                          static_cast<float>(sum_g) -
+                          xhat[idx] * static_cast<float>(sum_gx));
+        }
+      }
+    }
+  }
+};
+
+constexpr int kBitwiseBatches[] = {2, 3, 16, 17};
+constexpr int kBitwiseDims[] = {1, 7, 64, 128, 130};
+
+TEST(NnBitwise, BatchNormMatchesReferenceLoops) {
+  for (const double special : {0.0, 0.1}) {
+    for (const int bs : kBitwiseBatches) {
+      for (const int dim : kBitwiseDims) {
+        SCOPED_TRACE("bs=" + std::to_string(bs) +
+                     " dim=" + std::to_string(dim) +
+                     " special=" + std::to_string(special));
+        const size_t n = static_cast<size_t>(bs) * dim;
+        const uint64_t seed = static_cast<uint64_t>(bs * 1000 + dim);
+        BatchNorm1d bn(dim);
+        bn.bind({0, bn.param_count()}, {0, bn.stat_count()});
+        RefBatchNorm ref(dim);
+        // Non-trivial gamma/beta and running stats, specials included.
+        const std::vector<float> params =
+            edge_values(bn.param_count(), seed, special);
+        std::vector<float> stats = edge_values(bn.stat_count(), seed + 1, 0.0);
+        for (int j = 0; j < dim; ++j) {
+          stats[static_cast<size_t>(dim + j)] =
+              std::fabs(stats[static_cast<size_t>(dim + j)]) + 0.5f;
+        }
+        std::vector<float> ref_stats = stats;
+        const std::vector<float> in = edge_values(n, seed + 2, special);
+        const std::vector<float> gout = edge_values(n, seed + 3, special);
+
+        std::vector<float> out(n), ref_out(n);
+        bn.forward(params.data(), stats.data(), in.data(), out.data(), bs,
+                   /*training=*/false);
+        ref.forward(params.data(), ref_stats.data(), in.data(),
+                    ref_out.data(), bs, /*training=*/false);
+        EXPECT_TRUE(same_bits(out, ref_out)) << "eval forward";
+
+        bn.forward(params.data(), stats.data(), in.data(), out.data(), bs,
+                   /*training=*/true);
+        ref.forward(params.data(), ref_stats.data(), in.data(),
+                    ref_out.data(), bs, /*training=*/true);
+        EXPECT_TRUE(same_bits(out, ref_out)) << "training forward";
+        EXPECT_TRUE(same_bits(stats, ref_stats)) << "running stats";
+
+        for (const bool with_gin : {true, false}) {
+          std::vector<float> grads = edge_values(params.size(), seed + 4, 0.0);
+          std::vector<float> ref_grads = grads;
+          std::vector<float> gin(n), ref_gin(n);
+          bn.backward(params.data(), gout.data(),
+                      with_gin ? gin.data() : nullptr, grads.data(), bs);
+          ref.backward(params.data(), gout.data(),
+                       with_gin ? ref_gin.data() : nullptr, ref_grads.data(),
+                       bs);
+          EXPECT_TRUE(same_bits(grads, ref_grads)) << "gin=" << with_gin;
+          EXPECT_TRUE(same_bits(gin, ref_gin)) << "gin=" << with_gin;
+        }
+      }
+    }
+  }
+}
+
+TEST(NnBitwise, ReluMatchesReferenceLoops) {
+  for (const int bs : kBitwiseBatches) {
+    for (const int dim : kBitwiseDims) {
+      const size_t n = static_cast<size_t>(bs) * dim;
+      const uint64_t seed = static_cast<uint64_t>(bs * 1000 + dim);
+      const std::vector<float> in = edge_values(n, seed, 0.2);
+      const std::vector<float> gout = edge_values(n, seed + 1, 0.2);
+      ReLU relu(dim);
+      std::vector<float> out(n), gin(n), ref_out(n), ref_gin(n);
+      relu.forward(nullptr, nullptr, in.data(), out.data(), bs, true);
+      relu.backward(nullptr, gout.data(), gin.data(), nullptr, bs);
+      for (size_t i = 0; i < n; ++i) {
+        ref_out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+        ref_gin[i] = ref_out[i] > 0.0f ? gout[i] : 0.0f;
+      }
+      EXPECT_TRUE(same_bits(out, ref_out)) << bs << "x" << dim;
+      EXPECT_TRUE(same_bits(gin, ref_gin)) << bs << "x" << dim;
+    }
+  }
+}
+
+TEST(NnBitwise, SgdMomentumMatchesReferenceLoop) {
+  for (const size_t n : {size_t{1}, size_t{7}, size_t{130}, size_t{33600}}) {
+    std::vector<float> w = edge_values(n, n, 0.0);
+    std::vector<float> ref_w = w;
+    std::vector<float> ref_v(n, 0.0f);
+    SgdMomentum opt(n, 0.9);
+    for (int step = 0; step < 3; ++step) {
+      const std::vector<float> g =
+          edge_values(n, n + 1 + static_cast<uint64_t>(step), 0.1);
+      opt.step(w.data(), g.data(), 0.05);
+      const float mu = 0.9f, eta = 0.05f;
+      for (size_t i = 0; i < n; ++i) {
+        ref_v[i] = mu * ref_v[i] + g[i];
+        ref_w[i] -= eta * ref_v[i];
+      }
+    }
+    EXPECT_TRUE(same_bits(w, ref_w)) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -293,6 +293,40 @@ TEST(TelemetryTrace, ChromeTraceIsWellFormedAndCoversRoundPhases) {
   }
 }
 
+// Set-up time is attributed: one wall-track "setup" span, closed before
+// the first round opens, on every command that builds an engine.
+TEST(TelemetryTrace, SetupSpanEndsBeforeFirstRound) {
+  ScratchDir dir("telemetry_trace_setup");
+  const std::string trace = (dir.path / "trace.json").string();
+  const std::vector<std::vector<std::string>> commands = {
+      {"run", "--strategy", "gluefl", "--rounds", "2", "--scale", "0.02"},
+      {"run", "--exec", "async", "--strategy", "async-fedbuff", "--rounds",
+       "2", "--scale", "0.02"},
+      {"sweep", "--rounds", "2", "--scale", "0.02", "--q-shr", "0.1"}};
+  for (std::vector<std::string> argv : commands) {
+    argv.insert(argv.end(), {"--trace", trace});
+    const CliResult r = invoke(argv);
+    ASSERT_EQ(r.code, 0) << r.err;
+    const json::Value doc = json::parse(slurp(trace));
+    int setups = 0;
+    double setup_end = -1.0, first_round = -1.0;
+    for (const json::Value& e : doc.at("traceEvents").arr) {
+      if (e.at("ph").str != "X" || e.at("pid").number != 1.0) continue;
+      const double ts = e.at("ts").number;
+      if (e.at("name").str == "setup") {
+        ++setups;
+        setup_end = ts + e.at("dur").number;
+      } else if (e.at("name").str == "round" &&
+                 (first_round < 0.0 || ts < first_round)) {
+        first_round = ts;
+      }
+    }
+    EXPECT_EQ(setups, 1) << argv[0];
+    ASSERT_GE(first_round, 0.0) << argv[0];
+    EXPECT_LE(setup_end, first_round) << argv[0];
+  }
+}
+
 TEST(TelemetryTrace, CheckpointSpansAppearWhenCheckpointing) {
   ScratchDir dir("telemetry_trace_ckpt");
   const std::string trace = (dir.path / "trace.json").string();
